@@ -64,10 +64,12 @@ SimCluster::SimCluster(ClusterOptions options)
   for (std::size_t i = 0; i < options_.n; ++i) {
     members[i] = static_cast<NodeId>(i);
   }
+  // Every node starts from the same view: build its overlays once and
+  // hand each node a copy.
+  const View initial(std::move(members), options_.builder,
+                     options_.fast_builder);
   for (std::size_t i = 0; i < options_.n; ++i) {
-    create_node(static_cast<NodeId>(i),
-                View(members, options_.builder, options_.fast_builder),
-                /*start_round=*/0);
+    create_node(static_cast<NodeId>(i), initial, /*start_round=*/0);
     nodes_[i]->active = true;
   }
   for (std::size_t i = 0; i < options_.n; ++i) {

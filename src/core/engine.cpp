@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "graph/properties.hpp"
 
 namespace allconcur::core {
 
@@ -89,7 +90,15 @@ void Engine::open_round() {
     succs_ = view_->successors_of(self_);
     preds_ = view_->predecessors_of(self_);
     if (fast_path()) {
-      u_succs_ = view_->fast_successors_of(self_);
+      // Fast relays follow each origin's shortest-path tree of G_U
+      // (graph::shortest_path_tree_children): every node derives the same
+      // trees from the view alone, so a failure-free round moves each
+      // message exactly once per receiver — n(n-1) UBCASTs in total.
+      u_children_ = graph::shortest_path_tree_children(
+          view_->fast_overlay(), static_cast<NodeId>(self_rank_));
+      for (auto& children : u_children_) {
+        for (NodeId& child : children) child = view_->member(child);
+      }
     }
     neighbors_view_ = view_.get();
   }
@@ -283,9 +292,10 @@ void Engine::do_broadcast(RoundState& st) {
   st.have[self_rank_] = true;
   ++st.have_count;
   if (st.fast) {
-    // Fast round: the broadcast travels the unreliable overlay only.
+    // Fast round: the broadcast travels the unreliable overlay only; the
+    // root of our own relay tree fans out to every G_U successor.
     msg.type = MsgType::kUBcast;
-    stats_.ubcast_sent += fan_out(u_succs_, msg, kInvalidNode);
+    stats_.ubcast_sent += fan_out(u_children_[self_rank_], msg, kInvalidNode);
   } else {
     stats_.bcast_sent += send_to_successors(msg);
   }
@@ -491,24 +501,25 @@ void Engine::handle_bcast(NodeId from, const Message& msg, RoundState& st) {
   ++st.have_count;
   rec(obs::EventKind::kMsgRecv, st.round, *origin_rank, via_fast ? 1 : 0);
 
-  // Line 17-18: relay to our successors along the round's current overlay
-  // (skipping the link it came from — that peer evidently has it; only
-  // valid when the relay stays on the overlay the message arrived by).
-  // Counts actual sends: the skipped inbound link does not inflate the
-  // counters.
+  // Line 17-18: relay along the round's current overlay. A fast round
+  // forwards only to our children in the origin's G_U relay tree (the
+  // message came over G_U from our tree parent, which is never a child).
+  // A reliable round floods G_R minus the link the message came from —
+  // that peer evidently has it; only valid when the relay stays on the
+  // overlay it arrived by. Counts actual sends: the skipped inbound link
+  // does not inflate the counters.
   const bool traced = options_.tracer != nullptr && msg.trace_sampled();
   if (st.fast) {
+    const std::vector<NodeId>& children = u_children_[*origin_rank];
     if (traced) {
       // Sampled relay: the copy carries hop+1 and the grown cumulative
       // estimate (the context mutates per relay, so the shared frame of
       // this fan-out is re-encoded from the copy).
       Message out = msg;
       trace_relay(out, from);
-      stats_.ubcast_sent +=
-          fan_out(u_succs_, out, via_fast ? from : kInvalidNode);
+      stats_.ubcast_sent += fan_out(children, out, kInvalidNode);
     } else {
-      stats_.ubcast_sent +=
-          fan_out(u_succs_, msg, via_fast ? from : kInvalidNode);
+      stats_.ubcast_sent += fan_out(children, msg, kInvalidNode);
     }
   } else {
     if (via_fast || traced) {

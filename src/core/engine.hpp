@@ -41,7 +41,18 @@
 // Dual-digraph fast path (Options::fast_builder — AllConcur+, "A Dual
 // Digraph Approach for Leaderless Atomic Broadcast"): rounds open in FAST
 // mode and run untracked over the unreliable overlay G_U — completion is
-// a simple all-n bitmap, no tracking digraphs are instantiated. A
+// a simple all-n bitmap, no tracking digraphs are instantiated. A fast
+// round does not flood G_U: m_j travels only along origin j's
+// shortest-path tree of G_U (graph::shortest_path_tree_children — a rule
+// on distances alone, so every server derives identical trees from the
+// view without coordination), and every server receives every message
+// exactly once: n(n-1) ⟨UBCAST⟩s per failure-free round, at depth
+// diam(G_U). The trade-off: a tree has no redundant paths, so one lossy
+// link or one relay that receives nothing stalls the whole subtree below
+// it until the round watchdog falls back (flooding would often route
+// around the hole). Node slowness was on the critical path already — fast
+// completion needs every server's own message. G_R keeps flooding:
+// tracking infers from it. A
 // suspicion, a round timeout, or a peer's ⟨FALLBACK, r⟩ switches round r
 // (and only round r) to the tracked RELIABLE path over G_R: every server
 // re-broadcasts its round-r message and relays everything it holds over
@@ -443,13 +454,15 @@ class Engine {
   bool departed_ = false;
   // Overlay neighbor lists of self (global ids), recomputed only when the
   // view object changes: the send fast path must not rebuild them per
-  // message. succs_/preds_ follow G_R; u_succs_ follows G_U (dual mode
-  // only, empty otherwise — G_U predecessors matter only to the FD,
-  // which the deployments wire via View::monitor_predecessors_of).
+  // message. succs_/preds_ follow G_R. u_children_[j] (dual mode only,
+  // empty otherwise) lists our children in origin rank j's shortest-path
+  // relay tree of G_U; u_children_[self_rank_] is every G_U successor.
+  // G_U predecessors matter only to the FD, which the deployments wire
+  // via View::monitor_predecessors_of.
   const View* neighbors_view_ = nullptr;
   std::vector<NodeId> succs_;
   std::vector<NodeId> preds_;
-  std::vector<NodeId> u_succs_;
+  std::vector<std::vector<NodeId>> u_children_;
 
   // Requests buffered for the next own broadcast (§5 batching).
   std::vector<Request> pending_;

@@ -57,9 +57,6 @@ class View {
   /// Successors / predecessors of a member in G_R, as global ids.
   std::vector<NodeId> successors_of(NodeId id) const;
   std::vector<NodeId> predecessors_of(NodeId id) const;
-  /// Same along G_U (dual-digraph mode only).
-  std::vector<NodeId> fast_successors_of(NodeId id) const;
-  std::vector<NodeId> fast_predecessors_of(NodeId id) const;
   /// Neighbors along the monitor overlay: the links a failure detector
   /// must watch and a dual-mode transport must maintain. Without a fast
   /// overlay these are exactly successors_of / predecessors_of.

@@ -7,16 +7,18 @@
 
 namespace allconcur::graph {
 
-std::vector<std::size_t> bfs_distances(const Digraph& g, NodeId src) {
-  ALLCONCUR_ASSERT(src < g.order(), "source out of range");
+namespace {
+
+std::vector<std::size_t> bfs(const Digraph& g, NodeId root, bool forward) {
+  ALLCONCUR_ASSERT(root < g.order(), "vertex out of range");
   std::vector<std::size_t> dist(g.order(), kUnreachable);
   std::deque<NodeId> queue;
-  dist[src] = 0;
-  queue.push_back(src);
+  dist[root] = 0;
+  queue.push_back(root);
   while (!queue.empty()) {
     const NodeId u = queue.front();
     queue.pop_front();
-    for (NodeId v : g.successors(u)) {
+    for (NodeId v : forward ? g.successors(u) : g.predecessors(u)) {
       if (dist[v] == kUnreachable) {
         dist[v] = dist[u] + 1;
         queue.push_back(v);
@@ -24,6 +26,51 @@ std::vector<std::size_t> bfs_distances(const Digraph& g, NodeId src) {
     }
   }
   return dist;
+}
+
+}  // namespace
+
+std::vector<std::size_t> bfs_distances(const Digraph& g, NodeId src) {
+  return bfs(g, src, /*forward=*/true);
+}
+
+std::vector<std::vector<NodeId>> shortest_path_tree_children(const Digraph& g,
+                                                             NodeId self) {
+  // dist(·, x) for every x the rule reads — self, its successors, and
+  // their predecessors (the candidates the tie-break compares against) —
+  // by reverse BFS from x.
+  std::vector<NodeId> targets{self};
+  const auto add_target = [&targets](NodeId x) {
+    if (std::find(targets.begin(), targets.end(), x) == targets.end()) {
+      targets.push_back(x);
+    }
+  };
+  for (NodeId s : g.successors(self)) {
+    add_target(s);
+    for (NodeId p : g.predecessors(s)) add_target(p);
+  }
+  std::vector<std::vector<std::size_t>> dist_to;
+  dist_to.reserve(targets.size());
+  for (NodeId x : targets) dist_to.push_back(bfs(g, x, /*forward=*/false));
+  const auto dist = [&](NodeId j, NodeId x) {
+    const auto at = std::find(targets.begin(), targets.end(), x);
+    return dist_to[static_cast<std::size_t>(at - targets.begin())][j];
+  };
+
+  std::vector<std::vector<NodeId>> children(g.order());
+  for (NodeId j = 0; j < g.order(); ++j) {
+    const std::size_t level = dist(j, self);
+    if (level == kUnreachable) continue;
+    for (NodeId s : g.successors(self)) {
+      if (dist(j, s) != level + 1) continue;
+      const auto& preds = g.predecessors(s);
+      const bool lowest = std::none_of(
+          preds.begin(), preds.end(),
+          [&](NodeId p) { return p < self && dist(j, p) == level; });
+      if (lowest) children[j].push_back(s);
+    }
+  }
+  return children;
 }
 
 std::optional<std::size_t> diameter(const Digraph& g) {

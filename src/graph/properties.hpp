@@ -15,6 +15,18 @@ inline constexpr std::size_t kUnreachable = static_cast<std::size_t>(-1);
 /// BFS distances from src along successor edges.
 std::vector<std::size_t> bfs_distances(const Digraph& g, NodeId src);
 
+/// Children of `self` in every origin's shortest-path relay tree of g,
+/// indexed by origin: s is a child of self in j's tree iff s is a
+/// successor of self, dist(j,s) == dist(j,self)+1, and self is the
+/// lowest-numbered predecessor of s at distance dist(j,self). The rule
+/// reads distances only, so every vertex derives the same trees on its
+/// own, and together the children lists form, per origin j, a spanning
+/// arborescence of the vertices reachable from j with depth == distance.
+/// Needs dist(j,x) only for x in {self} ∪ succ(self) ∪ pred(succ(self)):
+/// O(d²·(n+E)) time, by reverse BFS from those targets.
+std::vector<std::vector<NodeId>> shortest_path_tree_children(const Digraph& g,
+                                                             NodeId self);
+
 /// Longest shortest path (paper's D(G)); nullopt if g is not strongly
 /// connected (some pair unreachable). `restrict_to` (optional) limits both
 /// sources and targets to the given alive set — used for fault diameters.

@@ -114,6 +114,34 @@ TcpNode::TcpNode(TcpNodeOptions options, DeliverFn on_deliver)
         options_.fallback_timeout, options_.fallback_max_round_age);
     watchdog_->set_recorder(&recorder_);
   }
+
+  // Every descriptor other threads touch or peers dial exists before the
+  // node is shared: submit()/stop() write event_fd_ from client threads,
+  // and peers constructed alongside this node find the listener already
+  // accepting (their first connect succeeds instead of retrying).
+  epoll_fd_ = epoll_create1(0);
+  ALLCONCUR_ASSERT(epoll_fd_ >= 0, "epoll_create1 failed");
+  event_fd_ = eventfd(0, EFD_NONBLOCK);
+  ALLCONCUR_ASSERT(event_fd_ >= 0, "eventfd failed");
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = event_fd_;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
+  if (fd_) {
+    timer_fd_ = timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK);
+    itimerspec spec{};
+    const auto period_ns = options_.fd_params.period;
+    spec.it_interval.tv_sec = period_ns / 1'000'000'000;
+    spec.it_interval.tv_nsec = period_ns % 1'000'000'000;
+    spec.it_value = spec.it_interval;
+    timerfd_settime(timer_fd_, 0, &spec, nullptr);
+    epoll_event tev{};
+    tev.events = EPOLLIN;
+    tev.data.fd = timer_fd_;
+    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &tev);
+  }
+  setup_listener();
+  setup_admin_listener();
 }
 
 TcpNode::~TcpNode() {
@@ -213,52 +241,27 @@ void TcpNode::dial_successors() {
   for (NodeId s : engine_->view().monitor_successors_of(options_.self)) {
     dial(s);
   }
-  connected_.store(true, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(connect_mutex_);
+    connected_ = true;
+  }
+  connect_cv_.notify_all();
 }
 
 bool TcpNode::wait_connected(DurationNs timeout) {
-  const TimeNs start = monotonic_now();
-  while (!connected_.load(std::memory_order_acquire)) {
-    if (monotonic_now() - start > timeout) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
+  std::unique_lock<std::mutex> lock(connect_mutex_);
+  return connect_cv_.wait_for(lock, std::chrono::nanoseconds(timeout),
+                              [this] { return connected_; });
 }
 
 void TcpNode::run() {
-  epoll_fd_ = epoll_create1(0);
-  ALLCONCUR_ASSERT(epoll_fd_ >= 0, "epoll_create1 failed");
-
-  event_fd_ = eventfd(0, EFD_NONBLOCK);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = event_fd_;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
-
-  if (fd_) {
-    timer_fd_ = timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK);
-    itimerspec spec{};
-    const auto period_ns = options_.fd_params.period;
-    spec.it_interval.tv_sec = period_ns / 1'000'000'000;
-    spec.it_interval.tv_nsec = period_ns % 1'000'000'000;
-    spec.it_value = spec.it_interval;
-    timerfd_settime(timer_fd_, 0, &spec, nullptr);
-    epoll_event tev{};
-    tev.events = EPOLLIN;
-    tev.data.fd = timer_fd_;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &tev);
-  }
-
-  setup_listener();
-  setup_admin_listener();
   dial_successors();
 
   epoll_event events[64];
   while (!stop_.load(std::memory_order_acquire)) {
-    // One clock read per wake stamps every flight-recorder event this
-    // iteration produces.
+    // Clock read at the top of the wake: stamps the events of the work
+    // done before the wait (commands, watchdog, delayed releases).
     loop_now_ = monotonic_now();
-    // Commands may have been queued before the eventfd existed.
     drain_commands();
     int wait_ms = 50;
     if (options_.send_delay > 0 || options_.chaos) {
@@ -289,6 +292,10 @@ void TcpNode::run() {
     }
     flush_dirty();
     const int ready = epoll_wait(epoll_fd_, events, 64, wait_ms);
+    // Re-read once the wait returned: the events this wake handles happen
+    // now, not when the (possibly 50 ms) wait began. One clock read per
+    // wake still stamps every event of the batch.
+    loop_now_ = monotonic_now();
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;
       if (fd == listen_fd_) {

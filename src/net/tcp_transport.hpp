@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -128,13 +129,18 @@ class TcpNode {
  public:
   using DeliverFn = std::function<void(const core::RoundResult&)>;
 
+  /// Opens the listener (base_port + self), the admin listener and the
+  /// event-loop descriptors; run() then only dials and loops. Construct
+  /// every node of a cluster before starting any run() and each dial
+  /// connects on its first attempt.
   TcpNode(TcpNodeOptions options, DeliverFn on_deliver);
   ~TcpNode();
 
   TcpNode(const TcpNode&) = delete;
   TcpNode& operator=(const TcpNode&) = delete;
 
-  /// Runs the event loop until stop() (call from a dedicated thread).
+  /// Dials the successors, then runs the event loop until stop() (call
+  /// from a dedicated thread).
   void run();
 
   /// Thread-safe controls.
@@ -265,8 +271,9 @@ class TcpNode {
   std::map<int, AdminConn> admin_conns_;
 
   // Observability plane. loop_now_ is the event-loop wake timestamp the
-  // recorder stamps events with — one clock_gettime per wake, not per
-  // event (the wire path stays syscall-free).
+  // recorder stamps events with: read when epoll_wait returns (and at the
+  // top of the wake for the work done before the wait), not per event —
+  // the wire path stays syscall-free.
   obs::FlightRecorder recorder_;
   obs::TraceBuffer tracer_;
   obs::Registry metrics_;
@@ -296,7 +303,9 @@ class TcpNode {
   std::mutex cmd_mutex_;
   std::deque<std::function<void()>> commands_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> connected_{false};
+  std::mutex connect_mutex_;
+  std::condition_variable connect_cv_;
+  bool connected_ = false;  ///< guarded by connect_mutex_
   std::atomic<std::uint64_t> completed_rounds_{0};
   std::atomic<std::uint64_t> pending_bytes_{0};
 };

@@ -46,6 +46,7 @@ OverlayPairing analyze_pairing(std::size_t n,
                          ? graph::vertex_connectivity(g_u)
                          : (n >= 2 ? 1 : 0);
   p.u_edges = g_u.edge_count();
+  p.u_relays = n >= 1 ? n - 1 : 0;
 
   p.r_degree = g_r.degree();
   p.r_diameter = graph::diameter(g_r);
@@ -67,7 +68,7 @@ std::string describe_pairing(const OverlayPairing& p) {
       "n=%zu  G_U: d=%zu D=%zu k=%zu msgs=%zu | G_R: d=%zu D=%zu k=%zu "
       "D_f=%zu msgs=%zu",
       p.n, p.u_degree, p.u_diameter.value_or(0), p.u_connectivity,
-      p.u_edges, p.r_degree, p.r_diameter.value_or(0), p.r_connectivity,
+      p.u_relays, p.r_degree, p.r_diameter.value_or(0), p.r_connectivity,
       p.r_fault_diameter.value_or(0), p.r_edges);
   return std::string(buf);
 }

@@ -12,8 +12,9 @@
 //     — completion requires every message to reach everyone, and any
 //     missing message triggers the fallback anyway — so G_U optimizes
 //     degree and diameter instead: a binary generalized de Bruijn shape,
-//     degree ≤ 2 and diameter ~log2 n, roughly d/2 times fewer relay
-//     messages per round than G_R.
+//     degree ≤ 2 and diameter ~log2 n. Fast rounds relay each message
+//     along its origin's shortest-path tree of G_U (n-1 messages per
+//     broadcast) where G_R floods every edge (n·d).
 //
 // analyze_pairing() computes the table the README and allconcur_topo
 // print: per-overlay degree, diameter, connectivity, fault diameter, and
@@ -43,13 +44,17 @@ struct OverlayPairing {
   std::size_t u_degree = 0;
   std::optional<std::size_t> u_diameter;
   std::size_t u_connectivity = 0;
-  std::size_t u_edges = 0;          ///< relay messages per fast round
+  std::size_t u_edges = 0;          ///< |E(G_U)|
+  /// Relay messages per fast broadcast: n-1, one per edge of the
+  /// origin's shortest-path tree (fast rounds relay along trees).
+  std::size_t u_relays = 0;
   // G_R (fallback path).
   std::size_t r_degree = 0;
   std::optional<std::size_t> r_diameter;
   std::size_t r_connectivity = 0;
   std::optional<std::size_t> r_fault_diameter;  ///< D_f(G_R, k-1) bound
-  std::size_t r_edges = 0;          ///< relay messages per tracked round
+  /// |E(G_R)| = relay messages per reliable broadcast (G_R floods).
+  std::size_t r_edges = 0;
 };
 
 /// Builds both overlays for size n and measures the pairing. Connectivity

@@ -275,6 +275,48 @@ TEST(TcpCluster, EngineAndWireByteCountersReconcile) {
   }
 }
 
+TEST(TcpCluster, RecorderStampsEventsWithWaitReturnTime) {
+  // Events a wake handles must carry the time the wake began handling
+  // them — when epoll_wait returned — not when the wait started. On an
+  // idle loop (heartbeats off, one member) the wait sits out its 50 ms
+  // timeout, so a stamp taken before it would predate the submit that
+  // caused the broadcast.
+  Rng rng(testing::test_seed() ^ static_cast<std::uint64_t>(::getpid()));
+  TcpNodeOptions opt;
+  opt.self = 0;
+  opt.members = {0};
+  opt.base_port = static_cast<std::uint16_t>(20000 + rng.next_below(30000));
+  opt.enable_heartbeats = false;
+  TcpNode node(opt, nullptr);
+  std::thread loop([&node] { node.run(); });
+  ASSERT_TRUE(node.wait_connected(testing::scaled(sec(10))));
+  node.submit(Request::of_data({1, 2, 3}));
+  // The submit's wake is over and the loop idles in a fresh wait; the
+  // broadcast command alone wakes it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const TimeNs called =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+  node.broadcast_now();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::nanoseconds(testing::scaled(sec(10)));
+  while (node.rounds_completed() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  node.stop();
+  loop.join();  // the recorder is read only once its writer is gone
+  ASSERT_GE(node.rounds_completed(), 1u);
+  bool seen = false;
+  for (const auto& e : node.recorder().events()) {
+    if (e.kind != obs::EventKind::kBcastSent) continue;
+    seen = true;
+    EXPECT_GE(e.t, called) << "round " << e.round;
+  }
+  EXPECT_TRUE(seen);
+}
+
 TEST(TcpCluster, AdminEndpointServesLiveMetricsAndRecorder) {
   // The introspection plane end to end: a real admin listener on each
   // node, queried over loopback HTTP by the same code path the

@@ -142,7 +142,8 @@ TEST(DualEngine, FastRelayStaysOnUnreliableOverlay) {
   bool checked = false;
   c.drop_filter = [&](NodeId src, NodeId dst, const Message& m) {
     if (m.type == MsgType::kUBcast) {
-      const auto succs = c.engine(src).view().fast_successors_of(src);
+      // Loopback ids equal ranks, so G_U's vertices are the node ids.
+      const auto& succs = c.engine(src).view().fast_overlay().successors(src);
       EXPECT_TRUE(std::find(succs.begin(), succs.end(), dst) != succs.end())
           << src << " -> " << dst;
       checked = true;
@@ -152,6 +153,141 @@ TEST(DualEngine, FastRelayStaysOnUnreliableOverlay) {
   for (NodeId i = 0; i < 8; ++i) c.engine(i).broadcast_now();
   c.pump();
   EXPECT_TRUE(checked);
+}
+
+// Per origin j, the union of every vertex's tree children must be a
+// spanning arborescence rooted at j whose depths are the BFS distances.
+void expect_shortest_path_arborescences(const graph::Digraph& g) {
+  const std::size_t n = g.order();
+  std::vector<std::vector<std::vector<NodeId>>> children(n);
+  for (NodeId v = 0; v < n; ++v) {
+    children[v] = graph::shortest_path_tree_children(g, v);
+    EXPECT_EQ(children[v][v], g.successors(v)) << "root fans out to all";
+  }
+  for (NodeId j = 0; j < n; ++j) {
+    std::vector<NodeId> parent(n, kInvalidNode);
+    std::size_t edges = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      for (NodeId s : children[v][j]) {
+        EXPECT_TRUE(g.has_edge(v, s));
+        EXPECT_EQ(parent[s], kInvalidNode)
+            << "n=" << n << " origin " << j << ": " << s << " has 2 parents";
+        parent[s] = v;
+        ++edges;
+      }
+    }
+    EXPECT_EQ(edges, n - 1) << "n=" << n << " origin " << j;
+    EXPECT_EQ(parent[j], kInvalidNode) << "the root has no parent";
+    const auto dist = graph::bfs_distances(g, j);
+    for (NodeId v = 0; v < n; ++v) {
+      if (v == j) continue;
+      std::size_t depth = 0;
+      for (NodeId u = v; u != j && depth <= n; u = parent[u]) {
+        ASSERT_NE(parent[u], kInvalidNode)
+            << "n=" << n << " origin " << j << ": " << u << " unreached";
+        ++depth;
+      }
+      EXPECT_EQ(depth, dist[v]) << "n=" << n << " origin " << j << " v=" << v;
+    }
+  }
+}
+
+TEST(DualTreeRelay, ChildrenFormShortestPathArborescences) {
+  const auto builder = plus::make_unreliable_builder();
+  for (std::size_t n : {5u, 8u, 16u, 31u, 32u}) {
+    expect_shortest_path_arborescences(builder(n));
+  }
+  // Ties: in a bidirectional ring of even order the antipode of every
+  // origin has two predecessors at equal distance.
+  expect_shortest_path_arborescences(graph::make_bidirectional_ring(8));
+}
+
+TEST(DualTreeRelay, TieBreaksToLowestPredecessor) {
+  // Diamond 0 -> {1, 2} -> 3 -> 0: vertex 3 has two predecessors at
+  // distance 1 from origin 0; only the lower-numbered one relays to it.
+  graph::Digraph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 3);
+  g.add_edge(3, 0);
+  expect_shortest_path_arborescences(g);
+  EXPECT_EQ(graph::shortest_path_tree_children(g, 1)[0],
+            std::vector<NodeId>{3});
+  EXPECT_TRUE(graph::shortest_path_tree_children(g, 2)[0].empty());
+}
+
+TEST(DualEngine, FailureFreeFastRoundMovesExactlyNTimesNMinusOneUbcasts) {
+  // Each message crosses every tree edge of its origin once: n-1 copies
+  // per origin, one per receiver, and every copy follows a tree edge.
+  for (std::size_t n : {8u, 32u}) {
+    LoopbackCluster c(n, gs_builder(4), dual_options());
+    c.drop_filter = [&c](NodeId src, NodeId dst, const Message& m) {
+      if (m.type == MsgType::kUBcast) {
+        const auto kids = graph::shortest_path_tree_children(
+            c.engine(src).view().fast_overlay(), src)[m.origin];
+        EXPECT_TRUE(std::find(kids.begin(), kids.end(), dst) != kids.end())
+            << src << " -> " << dst << " origin " << m.origin;
+      }
+      return false;
+    };
+    for (NodeId i = 0; i < n; ++i) c.engine(i).broadcast_now();
+    c.pump();
+    std::uint64_t sent = 0;
+    for (NodeId i = 0; i < n; ++i) {
+      ASSERT_TRUE(c.has_delivered(i));
+      const auto& s = c.engine(i).stats();
+      EXPECT_EQ(s.fast_rounds, 1u);
+      EXPECT_EQ(s.ubcast_received, n - 1) << "n=" << n << " node " << i;
+      sent += s.ubcast_sent;
+    }
+    EXPECT_EQ(sent, n * (n - 1)) << "n=" << n;
+  }
+}
+
+TEST(DualEngine, CutRelayStallsSubtreeUntilWatchdogFallback) {
+  // The tree trade-off: an interior relay that receives no fast traffic
+  // starves its subtree (no redundant G_U path), so the round completes
+  // fast only outside it; the watchdog's fallback must then carry the
+  // stalled nodes to the identical full set.
+  const std::size_t n = 16;
+  LoopbackCluster c(n, gs_builder(4), dual_options());
+  const NodeId cut = 5;
+  const auto kids = graph::shortest_path_tree_children(
+      c.engine(cut).view().fast_overlay(), cut);
+  NodeId origin = 0;
+  while (origin == cut || kids[origin].empty()) ++origin;
+  ASSERT_LT(origin, n);
+  const NodeId child = kids[origin][0];
+  c.drop_filter = [cut](NodeId, NodeId dst, const Message& m) {
+    return m.type == MsgType::kUBcast && dst == cut;
+  };
+  for (NodeId i = 0; i < n; ++i) {
+    c.engine(i).submit(Request::of_data(bytes({static_cast<uint8_t>(i)})));
+    c.engine(i).broadcast_now();
+  }
+  c.pump();
+  EXPECT_FALSE(c.has_delivered(cut));
+  EXPECT_FALSE(c.has_delivered(child)) << "subtree of the cut relay";
+  std::size_t fast = 0;
+  for (NodeId i = 0; i < n; ++i) fast += c.has_delivered(i) ? 1 : 0;
+  EXPECT_GT(fast, 0u) << "nodes outside the starved subtrees complete fast";
+  // The watchdog fires at every stalled node.
+  for (NodeId i = 0; i < n; ++i) {
+    if (!c.has_delivered(i)) c.engine(i).on_round_timeout(0);
+  }
+  c.pump();
+  for (NodeId i = 0; i < n; ++i) {
+    ASSERT_TRUE(c.has_delivered(i)) << "server " << i;
+    const auto& got = c.delivered(i)[0].deliveries;
+    const auto& ref = c.delivered(0)[0].deliveries;
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(got[k].origin, ref[k].origin);
+      EXPECT_EQ(*got[k].payload, *ref[k].payload);
+    }
+  }
+  EXPECT_GT(c.engine(cut).stats().fallback_rounds, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,13 +458,20 @@ TEST(DualEngine, FallbackDoesNotStallFastCompletedLaterRounds) {
 }
 
 TEST(DualEngine, StaleFallbackAssistedFromRetention) {
-  // W=2: node 0 is cut off from ALL fast traffic of round 0, while the
-  // others fast-complete rounds 0 and 1 and deliver both — recycling
-  // round 0's state. Node 0's late fallback must be served out of the
-  // retention ring.
+  // W=2: node 0 loses one origin's fast traffic, while the others
+  // fast-complete rounds 0 and 1 and deliver both — recycling round 0's
+  // state. Node 0's late fallback must be served out of the retention
+  // ring. The lost origin is one whose relay tree has node 0 as a leaf:
+  // cutting an interior relay would stall its subtree too (see
+  // CutRelayStallsSubtreeUntilWatchdogFallback).
   LoopbackCluster c(5, gs_builder(3), dual_options(2));
-  c.drop_filter = [](NodeId src, NodeId dst, const Message& m) {
-    return m.type == MsgType::kUBcast && dst == 0;
+  const auto children = graph::shortest_path_tree_children(
+      c.engine(0).view().fast_overlay(), 0);
+  NodeId lost = 1;
+  while (!children[lost].empty()) ++lost;
+  ASSERT_LT(lost, 5u);
+  c.drop_filter = [lost](NodeId src, NodeId dst, const Message& m) {
+    return m.type == MsgType::kUBcast && dst == 0 && m.origin == lost;
   };
   for (Round r = 0; r < 2; ++r) {
     for (NodeId i = 0; i < 5; ++i) {

@@ -507,6 +507,21 @@ TEST_P(ChaosGrayFallbackProperty, CappedWatchdogFallsBackUnderTrickle) {
   c.broadcast_all_now();
   ASSERT_TRUE(c.run_until_round_done(2, sec(30)))
       << "gray failure starved the cluster";
+  // In GB(8,2) node 7's only G_U out-edge is 7 -> 6, and tree relay sends
+  // each message once, so node 7 emits only a few frames per round: run
+  // on until the injector has dropped one of them, then until every node
+  // completed the round that frame belonged to (node 7 sends for no round
+  // beyond the frontier).
+  for (Round r = 3; inject->stats().dropped == 0 && r < 256; ++r) {
+    ASSERT_TRUE(c.run_until_round_done(r, sec(30)))
+        << "gray failure starved the cluster at round " << r;
+  }
+  Round frontier = 0;
+  for (NodeId id : c.live_nodes()) {
+    frontier = std::max(frontier, c.engine(id).current_round());
+  }
+  ASSERT_TRUE(c.run_until_round_done(frontier, sec(30)))
+      << "the round of the dropped frame never completed";
 
   EXPECT_GT(inject->stats().dropped, 0u);
   EXPECT_GT(inject->stats().delayed, 0u);

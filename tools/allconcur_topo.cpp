@@ -57,30 +57,31 @@ void describe(const std::string& name, const graph::Digraph& g,
 namespace {
 
 /// --dual: the AllConcur+ pairing table — the two overlays a dual-digraph
-/// deployment routes, with the per-round message cost of each path.
+/// deployment routes, with the per-broadcast message cost of each path.
 int print_dual_pairing(std::size_t n) {
   std::printf("AllConcur+ dual-digraph pairing at n=%zu\n", n);
   std::printf(
-      "  (fast rounds relay G_U untracked; fallback re-executes over G_R "
-      "with full tracking;\n   the FD monitors G_U ∪ G_R)\n\n");
+      "  (fast rounds relay along shortest-path trees of G_U, untracked; "
+      "fallback re-executes\n   over G_R with full tracking; the FD "
+      "monitors G_U ∪ G_R)\n\n");
   std::printf("%10s %6s %4s %4s %4s %6s %14s\n", "overlay", "n", "d", "D",
-              "k", "D_f", "msgs/round");
+              "k", "D_f", "msgs/bcast");
   const auto p = plus::analyze_pairing(n, plus::make_unreliable_builder(),
                                        core::make_default_graph_builder());
   std::printf("%10s %6zu %4zu %4zu %4zu %6s %14zu\n", "G_U (fast)", p.n,
               p.u_degree, p.u_diameter.value_or(0), p.u_connectivity, "-",
-              p.u_edges);
+              p.u_relays);
   std::printf("%10s %6zu %4zu %4zu %4zu %6zu %14zu\n", "G_R (rel.)", p.n,
               p.r_degree, p.r_diameter.value_or(0), p.r_connectivity,
               p.r_fault_diameter.value_or(0), p.r_edges);
   std::printf(
-      "\nfast round cost: %zu relays (%.1fx fewer than reliable's %zu); "
+      "\nfast broadcast cost: %zu relays (%.1fx fewer than reliable's %zu); "
       "fault tolerance\ncomes entirely from the fallback path "
       "(f < k(G_R) = %zu).\n",
-      p.u_edges,
-      p.u_edges > 0 ? static_cast<double>(p.r_edges) /
-                          static_cast<double>(p.u_edges)
-                    : 0.0,
+      p.u_relays,
+      p.u_relays > 0 ? static_cast<double>(p.r_edges) /
+                           static_cast<double>(p.u_relays)
+                     : 0.0,
       p.r_edges, p.r_connectivity);
   return 0;
 }
